@@ -804,7 +804,6 @@ let bench_lint_typed () =
                          {
                            Typed_rules.s_mod = u.u_module;
                            s_file = file;
-                           s_mli = u.u_mli;
                            s_solver = List.mem d solver_dirs;
                            s_impl = impl;
                            s_intf = u.u_intf;

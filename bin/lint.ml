@@ -43,7 +43,7 @@ let () =
       ("--root", Arg.Set_string root, "DIR repository root (default: .)");
       ( "--rules",
         Arg.String set_rules,
-        "R1,R2,... enable only these rules (default: all of R1-R14)" );
+        "R1,R2,... enable only these rules (default: all of them)" );
       ( "--baseline",
         Arg.String (fun f -> baseline := Some f),
         "FILE grandfather the findings listed (with reasons) in FILE" );

@@ -114,17 +114,16 @@ let matches_baseline entries (f : Lint_finding.t) =
 
 (* --- per-file runs ---------------------------------------------------- *)
 
-let lint_source_counted ?(extra = []) ~rules ~solver (src : Lint_source.t) =
+let lint_source_counted ?(extra = []) ?checked ~rules ~solver
+    (src : Lint_source.t) =
   let enabled r = List.mem r rules in
+  let r1_ran = solver && enabled Lint_finding.R1 in
   let raw =
     List.concat
       [
-        (if solver && enabled Lint_finding.R1 then Lint_rules.r1_budget src
-         else []);
+        (if r1_ran then Lint_rules.r1_budget src else []);
         (if enabled Lint_finding.R2 then Lint_rules.r2_exceptions src else []);
         (if enabled Lint_finding.R3 then Lint_rules.r3_comparisons src
-         else []);
-        (if solver && enabled Lint_finding.R4 then Lint_rules.r4_interface src
          else []);
         (if solver && enabled Lint_finding.R5 then Lint_rules.r5_state src
          else []);
@@ -134,7 +133,20 @@ let lint_source_counted ?(extra = []) ~rules ~solver (src : Lint_source.t) =
      broken suppression must never pass silently. [extra] is the typed
      findings attributed to this file — suppression directives govern
      them exactly like the Parsetree findings. *)
-  Lint_source.apply src (raw @ extra)
+  let findings, suppressed = Lint_source.apply src (raw @ extra) in
+  match checked with
+  | None -> (findings, suppressed)
+  | Some checked ->
+      (* Where R1' replaced it, the Parsetree R1 is still the fallback
+         for a build without this file's cmt: an R1 directive only it
+         needs is not stale. *)
+      let fallback =
+        if solver && List.mem Lint_finding.R1 checked && not r1_ran then
+          Lint_rules.r1_budget src
+        else []
+      in
+      let stale = Lint_source.unused ~checked src (raw @ extra @ fallback) in
+      (List.sort Lint_finding.compare (stale @ findings), suppressed)
 
 let lint_source ~rules ~solver src =
   fst (lint_source_counted ~rules ~solver src)
@@ -274,7 +286,6 @@ let load_typed ~root dirs =
                         {
                           Typed_rules.s_mod = u.u_module;
                           s_file = file;
-                          s_mli = u.u_mli;
                           s_solver = ds.ds_solver;
                           s_impl = impl;
                           s_intf = u.u_intf;
@@ -384,6 +395,11 @@ let r11_taint_drift config tnt g srcs =
 
 (* --- the tree run ----------------------------------------------------- *)
 
+(* Rules a file without a cmt has not been fully checked against: the
+   typed-only rules, and R1, whose directives may serve R1' alone. *)
+let needs_cmt =
+  Lint_finding.[ R1; R6; R7; R9; R10; R12; R13; R14 ]
+
 let run config =
   let* baseline =
     match config.baseline with
@@ -470,10 +486,19 @@ let run config =
               (* The typed pass subsumes R1 for files it has a cmt
                  for; files without one keep the Parsetree R1
                  (degraded, but never silent). *)
+              let covered = Hashtbl.mem typed_covered rel_path in
               let eff_rules =
-                if Hashtbl.mem typed_covered rel_path then
+                if covered then
                   List.filter (fun r -> r <> Lint_finding.R1) config.rules
                 else config.rules
+              in
+              (* A directive naming only rules that have had their say
+                 on this file, and suppressing nothing, is stale. *)
+              let checked =
+                if covered then config.rules
+                else
+                  List.filter (fun r -> not (List.mem r needs_cmt))
+                    config.rules
               in
               let extra =
                 match Hashtbl.find_opt typed_by_file rel_path with
@@ -481,7 +506,7 @@ let run config =
                 | None -> []
               in
               let findings, nsup =
-                lint_source_counted ~extra ~rules:eff_rules
+                lint_source_counted ~extra ~checked ~rules:eff_rules
                   ~solver:ds.ds_solver src
               in
               Ok ((1, nsup, findings) :: acc))

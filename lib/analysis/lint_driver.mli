@@ -6,7 +6,7 @@
     The typed pass loads each library's [-bin-annot] output, builds
     one interprocedural call graph over everything it found, and
     evaluates R1' (which subsumes the Parsetree R1 for covered files),
-    R6, R7 and R8. A module whose cmt is missing or unreadable falls
+    R6, R7, R9 and R10. A module whose cmt is missing or unreadable falls
     back to the Parsetree rules and is listed in [degraded] — reduced
     precision is always reported, never silent.
 

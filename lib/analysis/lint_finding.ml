@@ -7,7 +7,6 @@ type rule =
   | R5
   | R6
   | R7
-  | R8
   | R9
   | R10
   | R11
@@ -16,7 +15,7 @@ type rule =
   | R14
 
 let all_rules =
-  [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11; R12; R13; R14 ]
+  [ R1; R2; R3; R4; R5; R6; R7; R9; R10; R11; R12; R13; R14 ]
 
 let rule_to_string = function
   | R0 -> "R0"
@@ -27,7 +26,6 @@ let rule_to_string = function
   | R5 -> "R5"
   | R6 -> "R6"
   | R7 -> "R7"
-  | R8 -> "R8"
   | R9 -> "R9"
   | R10 -> "R10"
   | R11 -> "R11"
@@ -44,7 +42,6 @@ let rule_of_string = function
   | "R5" | "r5" -> Some R5
   | "R6" | "r6" -> Some R6
   | "R7" | "r7" -> Some R7
-  | "R8" | "r8" -> Some R8
   | "R9" | "r9" -> Some R9
   | "R10" | "r10" -> Some R10
   | "R11" | "r11" -> Some R11
@@ -54,19 +51,19 @@ let rule_of_string = function
   | _ -> None
 
 let rule_doc = function
-  | R0 -> "well-formed cqlint directives (malformed/unreasoned suppressions)"
+  | R0 ->
+      "well-formed cqlint directives (malformed, unreasoned or unused \
+       suppressions)"
   | R1 ->
       "budget discipline: while/for loops and self-recursive functions in \
        solver libraries must Budget.tick"
   | R2 ->
-      "exception hygiene: only Guard-convertible or local raises; _b entry \
-       points must wrap their body in Guard.run"
+      "exception hygiene: only Guard-convertible or local raises"
   | R3 ->
       "comparison safety: no polymorphic =/compare/Hashtbl.hash on domain \
        values (Rat.t, Bigint.t, structural keys)"
   | R4 ->
-      "interface hygiene: every module has an .mli; solver entry points have \
-       budgeted _b counterparts"
+      "interface hygiene: every library module has an .mli"
   | R5 ->
       "state registration: top-level mutable state in solver libraries must \
        register with Runtime_state for abort-safety reset/validate"
@@ -76,9 +73,6 @@ let rule_doc = function
   | R7 ->
       "marshal safety (typed): types crossing Isolate's fork result channel \
        must be transitively closure- and custom-block-free"
-  | R8 ->
-      "_b drift (typed): budgeted _b entry points must match their \
-       unbudgeted twin modulo ?budget and the Guard.failure result wrapper"
   | R9 ->
       "effect signatures (typed): exported solver entry points must not \
        write unregistered global state; pure / registered-cache-only \

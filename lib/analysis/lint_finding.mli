@@ -5,21 +5,20 @@
 (** The rule catalogue. [R0] is the meta-rule guarding the linter's
     own directive syntax: a [(* cqlint: allow ... *)] comment that does
     not parse — in particular one missing the mandatory reason — is
-    itself a finding, so suppressions cannot silently rot. *)
+    itself a finding, and so, in the tree run, is a directive that
+    suppresses nothing: suppressions cannot silently rot. *)
 type rule =
   | R0  (** well-formed [cqlint] directives (always on) *)
   | R1  (** budget discipline: solver loops and recursion must tick *)
-  | R2  (** exception hygiene: Guard-convertible raises, guarded [_b] *)
+  | R2  (** exception hygiene: Guard-convertible raises *)
   | R3  (** comparison safety: no polymorphic compare/hash on domain types *)
-  | R4  (** interface hygiene: [.mli] coverage and [_b] counterparts *)
+  | R4  (** interface hygiene: [.mli] coverage *)
   | R5  (** state registration: top-level mutable solver state registers
             with [Runtime_state] *)
   | R6  (** determinism (typed): no PRNG/wall-clock/Hashtbl-order on paths
             from a solver's exported surface *)
   | R7  (** marshal safety (typed): Isolate-crossing result types are
             closure- and custom-block-free *)
-  | R8  (** [_b] drift (typed): budgeted twins agree modulo [?budget] and
-            the result wrapper *)
   | R9  (** effect signatures (typed): exported entry points must not write
             unregistered globals; pure/registered-cache signatures are
             certified shard-safe *)

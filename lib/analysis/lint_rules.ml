@@ -193,10 +193,6 @@ let local_exceptions structure =
   it.structure it structure;
   names
 
-let is_guard_run = function
-  | Longident.Ldot (Longident.Lident "Guard", ("run" | "run_result")) -> true
-  | _ -> false
-
 let r2_exceptions (src : Lint_source.t) =
   match src.ast with
   | Intf _ -> []
@@ -234,42 +230,9 @@ let r2_exceptions (src : Lint_source.t) =
                    name)
         | _ -> () (* re-raise of a caught exception value *)
       in
-      let check_entry_point vb =
-        match vb.pvb_pat.ppat_desc with
-        | Ppat_var { txt = name; _ }
-          when String.length name > 2
-               && String.sub name (String.length name - 2) 2 = "_b" ->
-            let delegates =
-              expr_mentions
-                (fun lid ->
-                  is_guard_run lid
-                  ||
-                  let s = last_of lid in
-                  s <> name
-                  && String.length s > 2
-                  && String.sub s (String.length s - 2) 2 = "_b")
-                vb.pvb_expr
-            in
-            if not delegates then
-              report ~loc:vb.pvb_pat.ppat_loc
-                ~key:(Printf.sprintf "entry:%s" name)
-                (Printf.sprintf
-                   "budgeted entry point `%s` can raise outside Guard.run: \
-                    wrap the body in Guard.run/Guard.run_result (or \
-                    delegate to another _b entry point) so exhaustion and \
-                    solver failures return a structured Error"
-                   name)
-        | _ -> ()
-      in
       let it =
         {
           Ast_iterator.default_iterator with
-          structure_item =
-            (fun self si ->
-              (match si.pstr_desc with
-              | Pstr_value (_, vbs) -> List.iter check_entry_point vbs
-              | _ -> ());
-              Ast_iterator.default_iterator.structure_item self si);
           expr =
             (fun self e ->
               (match e.pexp_desc with
@@ -543,83 +506,8 @@ let r4_missing_mli ~dir ~ml ~mli =
                ~key:(Printf.sprintf "mli:%s" base)
                (Printf.sprintf
                   "module `%s` has no .mli: every library module must \
-                   declare its public surface so R4 can check entry-point \
-                   coverage"
+                   declare its public surface"
                   (String.capitalize_ascii base)))
       end
       else None)
     ml
-
-let rec arrow_args ty =
-  match ty.ptyp_desc with
-  | Ptyp_arrow (lbl, a, b) -> (lbl, a) :: arrow_args b
-  | Ptyp_poly (_, t) -> arrow_args t
-  | _ -> []
-
-let type_mentions pred ty =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      typ =
-        (fun self t ->
-          (match t.ptyp_desc with
-          | Ptyp_constr ({ txt; _ }, _) -> if pred txt then found := true
-          | _ -> ());
-          Ast_iterator.default_iterator.typ self t);
-    }
-  in
-  it.typ it ty;
-  !found
-
-let is_training = function
-  | Longident.Ldot (Longident.Lident "Labeling", "training") -> true
-  | _ -> false
-
-let r4_interface (src : Lint_source.t) =
-  match src.ast with
-  | Impl _ -> []
-  | Intf signature ->
-      let vals = Hashtbl.create 16 in
-      List.iter
-        (fun item ->
-          match item.psig_desc with
-          | Psig_value vd -> Hashtbl.replace vals vd.pval_name.txt ()
-          | _ -> ())
-        signature;
-      List.filter_map
-        (fun item ->
-          match item.psig_desc with
-          | Psig_value vd ->
-              let name = vd.pval_name.txt in
-              let is_b =
-                String.length name > 2
-                && String.sub name (String.length name - 2) 2 = "_b"
-              in
-              let args = arrow_args vd.pval_type in
-              let budgeted =
-                List.exists
-                  (fun (lbl, _) -> lbl = Asttypes.Optional "budget")
-                  args
-              in
-              let takes_training =
-                List.exists (fun (_, t) -> type_mentions is_training t) args
-              in
-              if
-                takes_training && (not is_b) && (not budgeted)
-                && not (Hashtbl.mem vals (name ^ "_b"))
-              then
-                Some
-                  (Lint_finding.make ~rule:Lint_finding.R4 ~file:src.path
-                     ~loc:vd.pval_loc
-                     ~key:(Printf.sprintf "val:%s" name)
-                     (Printf.sprintf
-                        "solver entry point `%s` takes Labeling.training \
-                         but exports no budgeted `%s_b` counterpart \
-                         (?budget:Budget.t -> ... -> (_, Guard.failure) \
-                         result): unbudgeted callers can hang on \
-                         worst-case inputs"
-                        name name))
-              else None
-          | _ -> None)
-        signature

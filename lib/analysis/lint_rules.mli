@@ -16,8 +16,7 @@ val r2_exceptions : Lint_source.t -> Lint_finding.t list
 (** R2, implementations: [raise] only exceptions {!Guard.run} converts
     ([Invalid_argument]/[Failure]/[Not_found]), [Budget.Exhausted],
     [Exit], or exceptions declared in the same file (local control
-    flow); and every toplevel [_b] binding must wrap its body in
-    [Guard.run]/[Guard.run_result] or delegate to another [_b]. *)
+    flow). *)
 
 val r3_comparisons : Lint_source.t -> Lint_finding.t list
 (** R3, implementations: no [Hashtbl.hash]; no polymorphic
@@ -35,12 +34,5 @@ val r5_state : Lint_source.t -> Lint_finding.t list
 
 val r4_missing_mli :
   dir:string -> ml:string list -> mli:string list -> Lint_finding.t list
-(** R4a: every [.ml] basename in [ml] needs a matching basename in
+(** R4: every [.ml] basename in [ml] needs a matching basename in
     [mli]. Findings point at [dir/<file>.ml] line 1. *)
-
-val r4_interface : Lint_source.t -> Lint_finding.t list
-(** R4b, solver interfaces: every exported val taking a
-    [Labeling.training] argument (a decision-procedure entry point)
-    needs a budgeted [<name>_b] counterpart in the same signature,
-    unless it is itself budgeted (takes [?budget]) or is the [_b]
-    variant. *)

@@ -119,7 +119,10 @@ let parse_directive text =
               in
               Some
                 (Error
-                   (Printf.sprintf "unknown rule %S (expected R1..R11)" bad))
+                   (Printf.sprintf "unknown rule %S (expected one of %s)" bad
+                      (String.concat ", "
+                         (List.map Lint_finding.rule_to_string
+                            Lint_finding.all_rules))))
             else if List.exists (fun r -> r = Some Lint_finding.R0) rules then
               Some (Error "R0 (directive hygiene) cannot be suppressed")
             else
@@ -148,11 +151,29 @@ let suppressions src =
             :: bad ))
     ([], []) src.comments
 
-let suppressed sups (f : Lint_finding.t) =
-  List.exists
+let covers s (f : Lint_finding.t) =
+  List.mem f.Lint_finding.rule s.rules
+  && (f.Lint_finding.line = s.line || f.Lint_finding.line = s.line + 1)
+
+let suppressed sups f = List.exists (fun s -> covers s f) sups
+
+let unused ~checked src findings =
+  let sups, _ = suppressions src in
+  List.filter_map
     (fun s ->
-      List.mem f.Lint_finding.rule s.rules
-      && (f.Lint_finding.line = s.line || f.Lint_finding.line = s.line + 1))
+      if
+        List.for_all (fun r -> List.mem r checked) s.rules
+        && not (List.exists (covers s) findings)
+      then
+        Some
+          (Lint_finding.v ~rule:Lint_finding.R0 ~file:src.path ~line:s.line
+             ~col:0
+             ~key:(Printf.sprintf "unused#%d" s.line)
+             (Printf.sprintf
+                "this cqlint directive suppresses no %s finding: delete it"
+                (String.concat "/"
+                   (List.map Lint_finding.rule_to_string s.rules))))
+      else None)
     sups
 
 let apply src findings =

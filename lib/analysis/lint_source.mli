@@ -48,3 +48,12 @@ val apply : t -> Lint_finding.t list -> Lint_finding.t list * int
 (** [apply src findings] adds the [R0] findings for [src], filters out
     suppressed ones, and returns the survivors (sorted) with the count
     of findings that were suppressed. *)
+
+val unused :
+  checked:Lint_finding.rule list -> t -> Lint_finding.t list ->
+  Lint_finding.t list
+(** [unused ~checked src findings] is an [R0] finding (key
+    [unused#<line>]) for each well-formed directive of [src] that
+    names only [checked] rules and covers none of [findings]: a stale
+    suppression. [findings] must hold every finding the [checked]
+    rules report on [src], before suppression. *)

@@ -1,4 +1,4 @@
-(* The typed rules (R1', R6, R7, R8), on top of the whole-library
+(* The typed rules (R1', R6, R7, R9, R10), on top of the whole-library
    mention graph built by [Callgraph] from dune's [-bin-annot] output.
 
    Version discipline matches [Callgraph]: only 4.14..5.x-stable
@@ -12,7 +12,6 @@
 type source = {
   s_mod : string;  (* compilation unit name, e.g. "Cq_sep" *)
   s_file : string;  (* root-relative .ml path findings attach to *)
-  s_mli : string option;  (* root-relative .mli path, for R8 findings *)
   s_solver : bool;  (* in a worst-case-exponential library dir *)
   s_impl : Typedtree.structure;
   s_intf : Typedtree.signature option;
@@ -444,148 +443,6 @@ let r7_marshal tbl sources =
   List.iter scan sources;
   List.rev !findings
 
-(* --- R8: _b signature drift ------------------------------------------- *)
-
-let render ty =
-  Printtyp.reset ();
-  Format.asprintf "%a" Printtyp.type_expr ty
-
-let rec spine ty =
-  match Types.get_desc ty with
-  | Types.Tarrow (lbl, a, r, _) ->
-      let args, cod = spine r in
-      ((lbl, a) :: args, cod)
-  | Types.Tpoly (t, _) -> spine t
-  | _ -> ([], ty)
-
-let label_name = function
-  | Asttypes.Nolabel -> "an unlabeled argument"
-  | Asttypes.Labelled l -> "~" ^ l
-  | Asttypes.Optional l -> "?" ^ l
-
-let r8_drift sources =
-  List.concat_map
-    (fun s ->
-      if not s.s_solver then []
-      else
-        match s.s_intf with
-        | None -> []
-        | Some sg ->
-            let file = match s.s_mli with Some f -> f | None -> s.s_file in
-            let vals =
-              List.filter_map
-                (fun (it : Typedtree.signature_item) ->
-                  match it.Typedtree.sig_desc with
-                  | Typedtree.Tsig_value vd ->
-                      Some (vd.Typedtree.val_name.Location.txt, vd)
-                  | _ -> None)
-                sg.Typedtree.sig_items
-            in
-            List.filter_map
-              (fun ((name, vd) : string * Typedtree.value_description) ->
-                if not (String.ends_with ~suffix:"_b" name) then None
-                else begin
-                  let base = String.sub name 0 (String.length name - 2) in
-                  match List.assoc_opt base vals with
-                  | None -> None
-                  | Some base_vd ->
-                      let mk msg =
-                        let loc = vd.Typedtree.val_loc in
-                        Some
-                          (Lint_finding.v ~rule:Lint_finding.R8 ~file
-                             ~line:loc.Location.loc_start.pos_lnum
-                             ~col:
-                               (loc.loc_start.pos_cnum
-                              - loc.loc_start.pos_bol)
-                             ~key:("drift:" ^ name)
-                             (Printf.sprintf
-                                "budgeted `%s` drifted from `%s`: %s — \
-                                 the twins must agree modulo ?budget and \
-                                 the (_, Guard.failure) result wrapper, \
-                                 or callers silently get different \
-                                 semantics per entry point"
-                                name base msg))
-                      in
-                      let b_args, b_cod =
-                        spine vd.Typedtree.val_val.Types.val_type
-                      in
-                      let args, cod =
-                        spine base_vd.Typedtree.val_val.Types.val_type
-                      in
-                      let budget, rest =
-                        List.partition
-                          (fun (l, _) -> l = Asttypes.Optional "budget")
-                          b_args
-                      in
-                      if budget = [] then
-                        mk "it takes no ?budget:Budget.t argument"
-                      else begin
-                        match Types.get_desc b_cod with
-                        | Types.Tconstr (p, [ ok; err ], _)
-                          when tyname p = "result" ->
-                            let err_ok =
-                              match Types.get_desc err with
-                              | Types.Tconstr (pe, _, _) ->
-                                  String.ends_with ~suffix:"failure"
-                                    (tyname pe)
-                              | _ -> false
-                            in
-                            if not err_ok then
-                              mk
-                                (Printf.sprintf
-                                   "its error channel is `%s`, not \
-                                    Guard.failure"
-                                   (render err))
-                            else if List.length rest <> List.length args
-                            then
-                              mk
-                                (Printf.sprintf
-                                   "it takes %d non-budget argument(s) \
-                                    but `%s` takes %d"
-                                   (List.length rest) base
-                                   (List.length args))
-                            else begin
-                              let mism =
-                                List.find_map
-                                  (fun ((bl, bt), (l, t)) ->
-                                    if bl <> l then
-                                      Some
-                                        (Printf.sprintf
-                                           "argument labels differ (%s \
-                                            vs %s)"
-                                           (label_name bl) (label_name l))
-                                    else if render bt <> render t then
-                                      Some
-                                        (Printf.sprintf
-                                           "argument %s has type `%s` vs \
-                                            `%s`"
-                                           (label_name l) (render bt)
-                                           (render t))
-                                    else None)
-                                  (List.combine rest args)
-                              in
-                              match mism with
-                              | Some m -> mk m
-                              | None ->
-                                  if render ok <> render cod then
-                                    mk
-                                      (Printf.sprintf
-                                         "its ok type is `%s` but `%s` \
-                                          returns `%s`"
-                                         (render ok) base (render cod))
-                                  else None
-                            end
-                        | _ ->
-                            mk
-                              (Printf.sprintf
-                                 "it returns `%s`, not a (_, \
-                                  Guard.failure) result"
-                                 (render b_cod))
-                      end
-                end)
-              vals)
-    sources
-
 (* --- R9: effect signatures on exported entry points -------------------- *)
 
 (* [exported_roots], but keeping the provenance: which module exports
@@ -695,4 +552,4 @@ let run ?effects g sources =
   in
   let tbl = type_table sources in
   r1_tick g sources @ r6_determinism g sources @ r7_marshal tbl sources
-  @ r8_drift sources @ r9_effects g eff sources @ r10_escape sources
+  @ r9_effects g eff sources @ r10_escape sources

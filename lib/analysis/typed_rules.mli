@@ -14,9 +14,6 @@
       [Isolate.run] (or of a [Guard.runner]'s [.run] field) must be
       transitively closure-free and custom-block-free, walked through
       the library's own type declarations.
-    - {b R8} — [_b] drift: each budgeted [_b] entry point in an
-      interface must agree with its unbudgeted twin modulo the
-      [?budget] argument and the [(_, Guard.failure) result] wrapper.
     - {b R9} — effect signatures: every exported solver entry point
       gets an inferred {!Effects} signature; writing a global that is
       not [Runtime_state]-registered is a finding. Pure and
@@ -37,7 +34,6 @@
 type source = {
   s_mod : string;  (** compilation unit name, e.g. ["Cq_sep"] *)
   s_file : string;  (** root-relative [.ml] path findings attach to *)
-  s_mli : string option;  (** root-relative [.mli] path (R8 findings) *)
   s_solver : bool;  (** in a worst-case-exponential library dir *)
   s_impl : Typedtree.structure;
   s_intf : Typedtree.signature option;

@@ -61,10 +61,6 @@ let apx_classify ~m ?p ~eps (t : Labeling.training) eval_db =
       invalid_arg
         "Atoms_sep.apx_classify: no CQ[m] classifier within the error budget"
 
-(* --- budgeted variants ---------------------------------------------- *)
-
-let default_budget = function Some b -> b | None -> Budget.installed ()
-
 (* --- sharded variants ------------------------------------------------ *)
 
 (* The Shardexec client contract: workers compute raw per-range data —
@@ -95,8 +91,8 @@ let dedupe_features features columns =
       end)
     (List.combine features columns)
 
-let pruned_features_sharded ~sharding ?budget ~m ?p (t : Labeling.training) =
-  let b = default_budget budget in
+let pruned_features_sharded ~sharding ?budget:(b = Budget.installed ()) ~m ?p
+    (t : Labeling.training) =
   match Guard.run b (fun () -> all_features ~m ?p t.db) with
   | Error _ as e -> e
   | Ok features -> begin
@@ -112,41 +108,20 @@ let pruned_features_sharded ~sharding ?budget ~m ?p (t : Labeling.training) =
       | Ok columns -> Ok (dedupe_features features columns)
     end
 
-let separable_sharded ~sharding ?budget ~m ?p t =
-  match pruned_features_sharded ~sharding ?budget ~m ?p t with
+let separable_sharded ~sharding ?budget:(b = Budget.installed ()) ~m ?p t =
+  match pruned_features_sharded ~sharding ~budget:b ~m ?p t with
   | Error _ as e -> e
   | Ok stat ->
-      Guard.run (default_budget budget) (fun () ->
+      Guard.run b (fun () ->
           Statistic.separating_classifier stat t <> None)
 
-let min_errors_sharded ~sharding ?budget ~m ?p ?cap t =
-  match pruned_features_sharded ~sharding ?budget ~m ?p t with
+let min_errors_sharded ~sharding ?budget:(b = Budget.installed ()) ~m ?p ?cap
+    t =
+  match pruned_features_sharded ~sharding ~budget:b ~m ?p t with
   | Error _ as e -> e
   | Ok stat ->
-      Guard.run (default_budget budget) (fun () ->
+      Guard.run b (fun () ->
           let examples = Statistic.examples stat t in
           match Linsep.min_errors_exact ?cap examples with
           | Some (err, c) -> Some (err, stat, c)
           | None -> None)
-
-let separable_b ?budget ~m ?p t =
-  Guard.run (default_budget budget) (fun () -> separable ~m ?p t)
-
-let pruned_features_b ?budget ~m ?p t =
-  Guard.run (default_budget budget) (fun () -> pruned_features ~m ?p t)
-
-let generate_b ?budget ~m ?p t =
-  Guard.run (default_budget budget) (fun () -> generate ~m ?p t)
-
-let classify_b ?budget ~m ?p t eval_db =
-  Guard.run (default_budget budget) (fun () -> classify ~m ?p t eval_db)
-
-let min_errors_b ?budget ~m ?p ?cap t =
-  Guard.run (default_budget budget) (fun () -> min_errors ~m ?p ?cap t)
-
-let apx_separable_b ?budget ~m ?p ~eps t =
-  Guard.run (default_budget budget) (fun () -> apx_separable ~m ?p ~eps t)
-
-let apx_classify_b ?budget ~m ?p ~eps t eval_db =
-  Guard.run (default_budget budget) (fun () ->
-      apx_classify ~m ?p ~eps t eval_db)

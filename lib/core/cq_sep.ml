@@ -100,29 +100,7 @@ let apx_separable ~eps (t : Labeling.training) =
   (* separable with error eps iff disagreement ≤ eps·n *)
   Rat.compare (Rat.of_int disagreement) (Rat.mul eps (Rat.of_int n)) <= 0
 
-(* --- budgeted variants and the graceful-degradation ladder ---------- *)
-
-let default_budget = function Some b -> b | None -> Budget.installed ()
-
-let separable_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> separable t)
-
-let apx_relabel_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> apx_relabel t)
-
-let chain_b ?budget t = Guard.run (default_budget budget) (fun () -> chain t)
-
-let inseparable_witness_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> inseparable_witness t)
-
-let generate_b ?budget ?minimize t =
-  Guard.run (default_budget budget) (fun () -> generate ?minimize t)
-
-let classify_b ?budget t eval_db =
-  Guard.run (default_budget budget) (fun () -> classify t eval_db)
-
-let apx_separable_b ?budget ~eps t =
-  Guard.run (default_budget budget) (fun () -> apx_separable ~eps t)
+(* --- the graceful-degradation ladder ---------------------------------- *)
 
 type provenance =
   | Exact
@@ -140,9 +118,8 @@ let pp_provenance fmt = function
       Format.fprintf fmt "approximate (slack %s)" (Rat.to_string slack)
   | Gave_up f -> Format.fprintf fmt "gave up: %s" (Guard.failure_to_string f)
 
-let decide_with_fallback ?budget ?(degrade = true) ?(rungs = [ 3; 2; 1 ])
-    ?(runner = Guard.runner) ?sharding t =
-  let b = default_budget budget in
+let decide_with_fallback ?budget:(b = Budget.installed ()) ?(degrade = true)
+    ?(rungs = [ 3; 2; 1 ]) ?(runner = Guard.runner) ?sharding t =
   (* One absolute deadline bounds the whole ladder; fuel is refilled
      per rung so a failed exact attempt does not starve the cheaper
      fallbacks. The runner decides how each rung executes: in-process

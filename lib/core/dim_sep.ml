@@ -311,16 +311,6 @@ let qbe_to_sep ~l (inst : Qbe.instance) =
   in
   Labeling.training db (Labeling.of_list labeled)
 
-(* --- budgeted variants ---------------------------------------------- *)
-
-let default_budget = function Some b -> b | None -> Budget.installed ()
-
-let separable_b ?budget ~dim lang t =
-  Guard.run (default_budget budget) (fun () -> separable ~dim lang t)
-
-let realizable_sets_b ?budget lang t =
-  Guard.run (default_budget budget) (fun () -> realizable_sets lang t)
-
 (* --- sharded variants ------------------------------------------------ *)
 
 (* Second Shardexec client: the candidate indicator sets of the CQ[m]
@@ -352,8 +342,8 @@ let dedupe_sets sets =
       end)
     sets
 
-let realizable_sets_sharded ~sharding ?budget lang (t : Labeling.training) =
-  let b = default_budget budget in
+let realizable_sets_sharded ~sharding ?budget:(b = Budget.installed ()) lang
+    (t : Labeling.training) =
   match (lang : Language.t) with
   | Cq_atoms { m; p } -> begin
       match Guard.run b (fun () -> Atoms_sep.all_features ~m ?p t.db) with
@@ -372,39 +362,14 @@ let realizable_sets_sharded ~sharding ?budget lang (t : Labeling.training) =
     end
   | _ -> Guard.run b (fun () -> realizable_sets lang t)
 
-let separable_sharded ~sharding ?budget ~dim lang t =
+let separable_sharded ~sharding ?budget:(b = Budget.installed ()) ~dim lang t =
   match (lang : Language.t) with
   | Cq_atoms _ -> begin
-      match realizable_sets_sharded ~sharding ?budget lang t with
+      match realizable_sets_sharded ~sharding ~budget:b lang t with
       | Error _ as e -> e
-      | Ok sets ->
-          Guard.run (default_budget budget) (fun () ->
-              separable_with_sets ~dim ~sets t)
+      | Ok sets -> Guard.run b (fun () -> separable_with_sets ~dim ~sets t)
     end
   | _ ->
       (* Dimension collapses and subset enumerations have no
          per-feature candidate space to shard. *)
-      Guard.run (default_budget budget) (fun () -> separable ~dim lang t)
-
-let separable_with_sets_b ?budget ?seed_numeric ~dim ~sets t =
-  Guard.run (default_budget budget) (fun () ->
-      separable_with_sets ?seed_numeric ~dim ~sets t)
-
-let witness_with_sets_b ?budget ?seed_numeric ~dim ~sets t =
-  Guard.run (default_budget budget) (fun () ->
-      witness_with_sets ?seed_numeric ~dim ~sets t)
-
-let min_errors_with_sets_b ?budget ~dim ~sets ?cap t =
-  Guard.run (default_budget budget) (fun () ->
-      min_errors_with_sets ~dim ~sets ?cap t)
-
-let realize_set_b ?budget ?ghw_depth_cap lang t s =
-  Guard.run (default_budget budget) (fun () ->
-      realize_set ?ghw_depth_cap lang t s)
-
-let generate_b ?budget ?ghw_depth_cap ~dim lang t =
-  Guard.run (default_budget budget) (fun () ->
-      generate ?ghw_depth_cap ~dim lang t)
-
-let min_dimension_b ?budget ?max_dim lang t =
-  Guard.run (default_budget budget) (fun () -> min_dimension ?max_dim lang t)
+      Guard.run b (fun () -> separable ~dim lang t)

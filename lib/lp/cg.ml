@@ -152,7 +152,6 @@ let fit ?(config = default_config) ~xs ~ys () =
          if !iters = 0 then 0.0
          else begin
            let num = ref 0.0 and den = ref 0.0 in
-           (* cqlint: allow R1 — PR+ coefficients bounded by the dimension *)
            for j = 0 to dim - 1 do
              num := !num +. (precond.(j) *. g.(j) *. (g.(j) -. g_prev.(j)));
              den := !den +. (precond.(j) *. g_prev.(j) *. g_prev.(j))
@@ -161,7 +160,6 @@ let fit ?(config = default_config) ~xs ~ys () =
          end
        in
        let descent = ref 0.0 in
-       (* cqlint: allow R1 — direction update bounded by the dimension *)
        for j = 0 to dim - 1 do
          dir.(j) <- (-.precond.(j) *. g.(j)) +. (beta *. dir.(j));
          descent := !descent +. (dir.(j) *. g.(j))
@@ -170,7 +168,6 @@ let fit ?(config = default_config) ~xs ~ys () =
          (* Not a descent direction: restart on preconditioned
             steepest descent. *)
          descent := 0.0;
-         (* cqlint: allow R1 — restart bounded by the dimension *)
          for j = 0 to dim - 1 do
            dir.(j) <- -.precond.(j) *. g.(j);
            descent := !descent +. (dir.(j) *. g.(j))
@@ -221,11 +218,6 @@ let fit ?(config = default_config) ~xs ~ys () =
     converged = !converged;
     objective = !obj;
   }
-
-let fit_b ?budget ?config ~xs ~ys () =
-  Guard.run
-    (match budget with Some b -> b | None -> Budget.installed ())
-    (fun () -> fit ?config ~xs ~ys ())
 
 let support ?(threshold = 1e-6) fit =
   let out = ref [] in

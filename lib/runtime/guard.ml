@@ -94,12 +94,6 @@ let retrying ?(attempts = 2) ?(factor = 4.0) ?(extend_deadline = false)
   in
   { run }
 
-let run_result budget f =
-  match run budget f with
-  | Ok (Ok _ as ok) -> ok
-  | Ok (Error _ as err) -> err
-  | Error failure -> Error failure
-
 let solver_error fmt =
   Printf.ksprintf
     (fun msg -> raise (Budget.Exhausted (Solver_error msg)))

@@ -64,10 +64,6 @@ val retrying :
     seeded differently (say, by job id) cannot retry in lockstep.
     @raise Invalid_argument when [attempts < 1] or [backoff < 0]. *)
 
-val run_result : Budget.t -> (unit -> ('a, failure) result) -> ('a, failure) result
-(** [run_result budget f] is {!run} for an [f] that already returns a
-    result, flattening the two error layers. *)
-
 val solver_error : ('a, unit, string, 'b) format4 -> 'a
 (** [solver_error fmt ...] raises {!Budget.Exhausted} carrying
     [Solver_error msg]: the structured way for library code to reject

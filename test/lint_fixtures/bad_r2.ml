@@ -1,6 +1,5 @@
-(* R2 fixture: a raise that Guard.run does not convert, and a budgeted
-   entry point whose body never reaches Guard.run. A locally-declared
-   exception is fine (caught in-file by convention). *)
+(* R2 fixture: a raise that Guard.run does not convert. A
+   locally-declared exception is fine (caught in-file by convention). *)
 
 exception Local_stop
 
@@ -8,7 +7,3 @@ let solve xs =
   if xs = [] then raise (Sys_error "fixture");
   try List.iter (fun x -> if x > 3 then raise Local_stop) xs with
   | Local_stop -> ()
-
-let solve_b ?budget:_ xs =
-  solve xs;
-  Ok ()

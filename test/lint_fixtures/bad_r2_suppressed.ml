@@ -1,4 +1,4 @@
-(* The same shapes as bad_r2.ml, silenced by reasoned directives. *)
+(* The same shape as bad_r2.ml, silenced by a reasoned directive. *)
 
 exception Local_stop
 
@@ -7,8 +7,3 @@ let solve xs =
   if xs = [] then raise (Sys_error "fixture");
   try List.iter (fun x -> if x > 3 then raise Local_stop) xs with
   | Local_stop -> ()
-
-(* cqlint: allow R2 — fixture: infallible body, nothing to guard *)
-let solve_b ?budget:_ xs =
-  solve xs;
-  Ok ()

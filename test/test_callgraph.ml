@@ -14,12 +14,10 @@ let all_ml =
   [ "tf_cross_helper.ml"; "tf_cross_loop.ml"; "tf_cross_loop_suppressed.ml";
     "tf_cross_tick.ml"; "tf_scc.ml"; "tf_r6_random.ml"; "tf_r6_clock.ml";
     "tf_r6_floatfold.ml"; "tf_r6_suppressed.ml"; "tf_r7_closure.ml";
-    "tf_r7_ok.ml"; "tf_r7_suppressed.ml"; "tf_drift.ml";
-    "tf_numeric_drift.ml" ]
+    "tf_r7_ok.ml"; "tf_r7_suppressed.ml" ]
 
 let all_mli =
-  [ "tf_r6_random.mli"; "tf_r6_clock.mli"; "tf_r6_floatfold.mli";
-    "tf_drift.mli"; "tf_numeric_drift.mli" ]
+  [ "tf_r6_random.mli"; "tf_r6_clock.mli"; "tf_r6_floatfold.mli" ]
 
 let units =
   lazy
@@ -36,7 +34,6 @@ let sources =
                {
                  Typed_rules.s_mod = u.u_module;
                  s_file = file;
-                 s_mli = u.u_mli;
                  s_solver = true;
                  s_impl = impl;
                  s_intf = u.u_intf;
@@ -217,30 +214,6 @@ let test_r7_suppression () =
     "a reasoned directive silences R7" ([], 1)
     (after_suppression "tf_r7_suppressed.ml")
 
-(* --- R8 --------------------------------------------------------------- *)
-
-let test_r8_drift () =
-  check keys_c "drifted _b twins flagged, the well-formed pair is not"
-    [ ("R8", "drift:decide_b"); ("R8", "drift:rank_b") ]
-    (rule_keys (findings_for "tf_drift.mli"))
-
-let test_r8_numeric_drift () =
-  check keys_c "numeric spine: refine_b/scale_b drifted, solve_b clean"
-    [ ("R8", "drift:refine_b"); ("R8", "drift:scale_b") ]
-    (rule_keys (findings_for "tf_numeric_drift.mli"));
-  let survivors, n = after_suppression "tf_numeric_drift.mli" in
-  check keys_c "the reasoned directive eats only scale_b"
-    [ ("R8", "drift:refine_b") ]
-    survivors;
-  check Alcotest.int "one suppression" 1 n
-
-let test_r8_suppression () =
-  let survivors, n = after_suppression "tf_drift.mli" in
-  check keys_c "only the unsuppressed drift survives"
-    [ ("R8", "drift:decide_b") ]
-    survivors;
-  check Alcotest.int "the directive ate exactly one finding" 1 n
-
 let () =
   Alcotest.run "callgraph"
     [
@@ -279,11 +252,5 @@ let () =
           Alcotest.test_case "first-order clean" `Quick
             test_r7_first_order_clean;
           Alcotest.test_case "suppression" `Quick test_r7_suppression;
-        ] );
-      ( "r8",
-        [
-          Alcotest.test_case "drift" `Quick test_r8_drift;
-          Alcotest.test_case "numeric drift" `Quick test_r8_numeric_drift;
-          Alcotest.test_case "suppression" `Quick test_r8_suppression;
         ] );
     ]

@@ -1,4 +1,4 @@
-(* Chaos suite: drive the budgeted entry points through thousands of
+(* Chaos suite: drive the solvers under [Guard.run] through thousands of
    seeded interruption points and prove the abort-safety contract:
 
    - no exception escapes [Guard.run] — every chaos abort surfaces as
@@ -157,158 +157,95 @@ let show_cg f = Printf.sprintf "%d:%b" f.Cg.iters f.Cg.converged
 (* --- the chaos cases -------------------------------------------------- *)
 
 (* Each case renders its answer to a canonical string so the reference
-   and the budgeted run compare with plain [=]. The rendering happens
-   outside any failure path, on fully-computed values. *)
-type case = {
-  c_name : string;
-  reference : unit -> string;
-  budgeted : Budget.t -> (string, Guard.failure) result;
-}
+   and the guarded run compare with plain [=]. The chaos loop runs the
+   same thunk under [Guard.run]; its inputs are built and memoized by
+   the reference run first, and the renderers never tick, so every
+   interruption point lies inside the solver. *)
+type case = { c_name : string; run : unit -> string }
 
 let cases =
   [
     {
       c_name = "cq_sep.separable";
-      reference =
+      run =
         (fun () -> string_of_bool (Cq_sep.separable (Lazy.force mixed_training)));
-      budgeted =
-        (fun b ->
-          Result.map string_of_bool
-            (Cq_sep.separable_b ~budget:b (Lazy.force mixed_training)));
     };
     {
       c_name = "cq_sep.inseparable_witness";
-      reference =
+      run =
         (fun () ->
           show_witness (Cq_sep.inseparable_witness (Lazy.force path_training)));
-      budgeted =
-        (fun b ->
-          Result.map show_witness
-            (Cq_sep.inseparable_witness_b ~budget:b (Lazy.force path_training)));
     };
     {
       c_name = "cq_sep.classify";
-      reference =
+      run =
         (fun () ->
           show_labeling
             (Cq_sep.classify (Lazy.force positive_training) (Lazy.force eval_db)));
-      budgeted =
-        (fun b ->
-          Result.map show_labeling
-            (Cq_sep.classify_b ~budget:b
-               (Lazy.force positive_training)
-               (Lazy.force eval_db)));
     };
     {
       c_name = "cqfeat.separable(ghw1)";
-      reference =
+      run =
         (fun () ->
           string_of_bool
             (Cqfeat.separable (Language.Ghw 1) (Lazy.force mixed_training)));
-      budgeted =
-        (fun b ->
-          Result.map string_of_bool
-            (Cqfeat.separable_b ~budget:b (Language.Ghw 1)
-               (Lazy.force mixed_training)));
     };
     {
       c_name = "atoms_sep.min_errors(m=1)";
-      reference =
+      run =
         (fun () ->
           match Atoms_sep.min_errors ~m:1 (Lazy.force mixed_training) with
           | Some (k, _, _) -> string_of_int k
           | None -> "none");
-      budgeted =
-        (fun b ->
-          Result.map
-            (function
-              | Some (k, _, _) -> string_of_int k
-              | None -> "none")
-            (Atoms_sep.min_errors_b ~budget:b ~m:1 (Lazy.force mixed_training)));
     };
     {
       c_name = "fo_sep.fo_separable";
-      reference =
+      run =
         (fun () ->
           string_of_bool (Fo_sep.fo_separable (Lazy.force mixed_training)));
-      budgeted =
-        (fun b ->
-          Result.map string_of_bool
-            (Fo_sep.fo_separable_b ~budget:b (Lazy.force mixed_training)));
     };
     {
       c_name = "pebble_game.fok_separable(k=2)";
-      reference =
+      run =
         (fun () ->
           string_of_bool
             (Pebble_game.fok_separable ~k:2 (Lazy.force mixed_training)));
-      budgeted =
-        (fun b ->
-          Result.map string_of_bool
-            (Pebble_game.fok_separable_b ~budget:b ~k:2
-               (Lazy.force mixed_training)));
     };
     {
       c_name = "simplex.solve";
-      reference =
+      run =
         (fun () ->
           let rows, objective = box_lp 4 in
           show_lp (Simplex.solve ~nvars:4 ~rows ~objective ()));
-      budgeted =
-        (fun b ->
-          let rows, objective = box_lp 4 in
-          Result.map show_lp
-            (Simplex.solve_b ~budget:b ~nvars:4 ~rows ~objective ()));
     };
     {
       c_name = "nsep.decide(sat)";
-      reference = (fun () -> show_nsep (Nsep.decide (Lazy.force linsep_sat)));
-      budgeted =
-        (fun b ->
-          Result.map show_nsep (Nsep.decide_b ~budget:b (Lazy.force linsep_sat)));
+      run = (fun () -> show_nsep (Nsep.decide (Lazy.force linsep_sat)));
     };
     {
       c_name = "nsep.decide(mixed)";
-      reference = (fun () -> show_nsep (Nsep.decide (Lazy.force linsep_mixed)));
-      budgeted =
-        (fun b ->
-          Result.map show_nsep
-            (Nsep.decide_b ~budget:b (Lazy.force linsep_mixed)));
+      run = (fun () -> show_nsep (Nsep.decide (Lazy.force linsep_mixed)));
     };
     {
       c_name = "fsimplex.feasible";
-      reference =
+      run =
         (fun () ->
           let nvars, rows = linsep_lp (Lazy.force linsep_sat) in
           show_fsimplex (Fsimplex.feasible ~nvars ~rows ()));
-      budgeted =
-        (fun b ->
-          let nvars, rows = linsep_lp (Lazy.force linsep_sat) in
-          Result.map show_fsimplex
-            (Fsimplex.feasible_b ~budget:b ~nvars ~rows ()));
     };
     {
       c_name = "cg.fit";
-      reference =
+      run =
         (fun () ->
           let xs, ys = cg_input (Lazy.force linsep_sat) in
           show_cg (Cg.fit ~xs ~ys ()));
-      budgeted =
-        (fun b ->
-          let xs, ys = cg_input (Lazy.force linsep_sat) in
-          Result.map show_cg (Cg.fit_b ~budget:b ~xs ~ys ()));
     };
     {
       c_name = "certify.hyperplane";
-      reference =
+      run =
         (fun () ->
           Certify.verdict_label
             (Certify.hyperplane ~weights:[| 1.0; 1.0; 1.0; 1.0 |]
-               (Lazy.force linsep_mixed)));
-      budgeted =
-        (fun b ->
-          Result.map Certify.verdict_label
-            (Certify.hyperplane_b ~budget:b ~weights:[| 1.0; 1.0; 1.0; 1.0 |]
                (Lazy.force linsep_mixed)));
     };
   ]
@@ -325,16 +262,16 @@ let total_interruptions = ref 0
    still-warm caches must agree with the fresh-process reference. *)
 let run_case case () =
   Runtime_state.reset_all ();
-  let fresh = case.reference () in
+  let fresh = case.run () in
   let ambient = Budget.installed () in
   for seed = 1 to seeds_per_case do
     let rate = rates.(seed mod Array.length rates) in
     Runtime_state.reset_all ();
     let budget = Budget.make ~chaos:(seed, rate) () in
-    (match case.budgeted budget with
+    (match Guard.run budget case.run with
     | exception e ->
         chaos_fail ~case:case.c_name ~seed ~rate
-          "exception escaped the budgeted entry point: %s"
+          "exception escaped Guard.run: %s"
           (Printexc.to_string e)
     | Ok got ->
         if got <> fresh then
@@ -353,7 +290,7 @@ let run_case case () =
               "registered state invalid after abort: %s"
               (String.concat ", " bad));
         (* rerun on the possibly-warm caches, WITHOUT resetting *)
-        let again = case.reference () in
+        let again = case.run () in
         if again <> fresh then
           chaos_fail ~case:case.c_name ~seed ~rate
             "post-abort rerun disagrees with fresh reference: %s vs %s" again
@@ -376,7 +313,7 @@ let test_chaos_deterministic () =
   let case = List.hd cases in
   let outcome seed =
     Runtime_state.reset_all ();
-    match case.budgeted (Budget.make ~chaos:(seed, 0.05) ()) with
+    match Guard.run (Budget.make ~chaos:(seed, 0.05) ()) case.run with
     | Ok s -> "ok " ^ s
     | Error f -> "error " ^ Guard.failure_to_string f
   in

@@ -27,7 +27,6 @@ let sources =
                {
                  Typed_rules.s_mod = u.u_module;
                  s_file = file;
-                 s_mli = u.u_mli;
                  s_solver = true;
                  s_impl = impl;
                  s_intf = u.u_intf;

@@ -225,6 +225,71 @@ let test_model_lifecycle () =
       check int_c "lifecycle labels agree" 0
         (Labeling.disagreement predicted eval.Labeling.labeling)
 
+(* The cqsep binary end to end: an escalating retry policy must be
+   able to rescue a classify run whose first budget is too small. The
+   training database is CQ-separable with mixed evaluation labels, and
+   50 ticks of fuel do not cover one CQ-Sep decision on it. *)
+let cqsep_exe = "../bin/cqsep.exe"
+
+let retry_training =
+  "E(a,b)\nE(b,c)\nE(c,a)\nE(c,d)\nU(b)\nU(d)\n+a\n+c\n-b\n-d\n"
+
+let retry_eval =
+  "E(x,y)\nE(y,z)\nE(z,x)\nE(z,w)\nU(y)\nU(w)\nE(p,q)\n\
+   ?x\n?y\n?z\n?w\n?p\n?q\n"
+
+let with_temp_file contents f =
+  let path = Filename.temp_file "cqsep_test" ".db" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* Run cqsep with [args]; returns its exit code and stdout. *)
+let run_cqsep args =
+  let out = Filename.temp_file "cqsep_test" ".out" in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process cqsep_exe
+      (Array.of_list (cqsep_exe :: args))
+      Unix.stdin fd null
+  in
+  Unix.close fd;
+  Unix.close null;
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> 128 + s
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+let test_cqsep_classify_retry () =
+  let t = Textfmt.training_of_document (Textfmt.parse_string retry_training) in
+  let eval_db = (Textfmt.parse_string retry_eval).Textfmt.db in
+  let expected =
+    String.concat ""
+      (List.map
+         (fun (e, l) ->
+           Printf.sprintf "%s%s\n"
+             (match l with Labeling.Pos -> "+" | Labeling.Neg -> "-")
+             (Elem.to_string e))
+         (Labeling.bindings (Cqfeat.classify Language.Cq_all t eval_db)))
+  in
+  check bool_c "the expected labeling is mixed" true
+    (String.contains expected '+' && String.contains expected '-');
+  with_temp_file retry_training @@ fun tr ->
+  with_temp_file retry_eval @@ fun ev ->
+  let classify extra = run_cqsep ([ "classify"; tr; ev; "-l"; "cq" ] @ extra) in
+  check Alcotest.(pair int string) "unbudgeted" (0, expected) (classify []);
+  check int_c "fuel 50 without retries exhausts" 3
+    (fst (classify [ "--fuel"; "50" ]));
+  check Alcotest.(pair int string) "escalating retries recover"
+    (0, expected)
+    (classify [ "--fuel"; "50"; "--retry"; "6"; "--retry-factor"; "10" ]);
+  check int_c "fuel 1 without retries exhausts" 3
+    (fst (classify [ "--fuel"; "1" ]))
+
 let () =
   Alcotest.run "integration"
     [
@@ -239,5 +304,7 @@ let () =
           Alcotest.test_case "ternary schema" `Quick test_ternary_schema;
           Alcotest.test_case "dot export" `Quick test_dot_export;
           Alcotest.test_case "model lifecycle" `Quick test_model_lifecycle;
+          Alcotest.test_case "cqsep classify --retry" `Quick
+            test_cqsep_classify_retry;
         ] );
     ]

@@ -39,8 +39,8 @@ let test_r1_off_outside_solver_dirs () =
     (rule_keys (lint ~solver:false "bad_r1.ml"))
 
 let test_r2_fires () =
-  check keys_c "unconvertible raise and unguarded _b entry"
-    [ ("R2", "raise:Sys_error"); ("R2", "entry:solve_b") ]
+  check keys_c "unconvertible raise"
+    [ ("R2", "raise:Sys_error") ]
     (rule_keys (lint "bad_r2.ml"))
 
 let test_r2_suppressed () =
@@ -58,13 +58,12 @@ let test_r3_suppressed () =
     (rule_keys (lint "bad_r3_suppressed.ml"))
 
 let test_r4_fires () =
-  check keys_c "entry point without a _b counterpart"
-    [ ("R4", "val:solve") ]
-    (rule_keys (lint "bad_r4.mli"))
-
-let test_r4_suppressed () =
-  check keys_c "reasoned directives silence R4" []
-    (rule_keys (lint "bad_r4_suppressed.mli"))
+  check keys_c "a library module without an .mli"
+    [ ("R4", "mli:solver") ]
+    (rule_keys
+       (Lint_rules.r4_missing_mli ~dir:"lib/x"
+          ~ml:[ "model.ml"; "solver.ml" ]
+          ~mli:[ "model.mli"; "helper.mli" ]))
 
 let test_r5_fires () =
   check keys_c "unregistered top-level mutable state (locals exempt)"
@@ -82,6 +81,20 @@ let test_r5_registered_clean () =
 let test_r5_off_outside_solver_dirs () =
   check keys_c "R5 is scoped to solver directories" []
     (rule_keys (lint ~solver:false "bad_r5.ml"))
+
+(* A reasoned directive that covers no finding of the rules it names,
+   once those rules have run over the file, is stale: R0 reports it. *)
+let test_unused_directive () =
+  let src = load "unused_directive.ml" in
+  let r1 = Lint_rules.r1_budget src in
+  check keys_c "R1 fires on the recursion only" [ ("R1", "rec:explore") ]
+    (rule_keys r1);
+  let unused checked = rule_keys (Lint_source.unused ~checked src r1) in
+  check keys_c "the stale directive is reported, the used one is not"
+    [ ("R0", "unused#10") ]
+    (unused [ Lint_finding.R1 ]);
+  check keys_c "rules that did not run make no directive stale" []
+    (unused [ Lint_finding.R2 ])
 
 let test_reasonless_rejected () =
   let keys = rule_keys (lint "reasonless.ml") in
@@ -167,7 +180,6 @@ let () =
           Alcotest.test_case "R3 fires" `Quick test_r3_fires;
           Alcotest.test_case "R3 suppressed" `Quick test_r3_suppressed;
           Alcotest.test_case "R4 fires" `Quick test_r4_fires;
-          Alcotest.test_case "R4 suppressed" `Quick test_r4_suppressed;
           Alcotest.test_case "R5 fires" `Quick test_r5_fires;
           Alcotest.test_case "R5 suppressed" `Quick test_r5_suppressed;
           Alcotest.test_case "R5 registered clean" `Quick
@@ -176,6 +188,8 @@ let () =
             test_r5_off_outside_solver_dirs;
           Alcotest.test_case "reasonless rejected" `Quick
             test_reasonless_rejected;
+          Alcotest.test_case "unused directive reported" `Quick
+            test_unused_directive;
         ] );
       ( "driver",
         [

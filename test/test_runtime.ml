@@ -1,11 +1,11 @@
-(* Tests for the budgeted runtime (Budget + Guard), the budgeted
-   solver entry points, and the graceful-degradation ladder.
+(* Tests for the budgeted runtime (Budget + Guard), solvers run under
+   Guard.run, and the graceful-degradation ladder.
 
    The fault-injection properties run real solvers under tiny budgets
-   with randomized exhaustion points: whatever the budget, a budgeted
-   entry point must either agree with its unbudgeted counterpart or
-   fail with a clean structured resource failure — never hang, never
-   leak an exception. *)
+   with randomized exhaustion points: whatever the budget, a guarded
+   solver must either agree with its unbudgeted run or fail with a
+   clean structured resource failure — never hang, never leak an
+   exception. *)
 
 open Test_util
 
@@ -224,7 +224,7 @@ let test_budget_refresh () =
   check bool_c "refilled" true
     (Budget.remaining_fuel (Budget.refresh b) = Some 10)
 
-(* --- fault injection: budgeted entry points ------------------------- *)
+(* --- fault injection: solvers under Guard.run ------------------------ *)
 
 let langs =
   [
@@ -235,8 +235,8 @@ let langs =
     Language.Fo_k 2;
   ]
 
-(* Under a random tiny budget, [separable_b] either agrees with the
-   unbudgeted decision or reports a resource failure. *)
+(* Under a random tiny budget, a guarded [separable] either agrees with
+   the unbudgeted decision or reports a resource failure. *)
 let prop_separable_b_agrees =
   QCheck.Test.make ~count:50
     ~name:"separable_b: Ok agrees with unbudgeted, Error is structured"
@@ -248,7 +248,8 @@ let prop_separable_b_agrees =
         (fun lang ->
           let expected = Cqfeat.separable lang t in
           match
-            Cqfeat.separable_b ~budget:(Budget.make ~fuel ()) lang t
+            Guard.run (Budget.make ~fuel ()) (fun () ->
+                Cqfeat.separable lang t)
           with
           | Ok b -> b = expected
           | Error f -> Guard.is_resource_failure f)
@@ -276,8 +277,8 @@ let prop_simplex_b_structured =
       let objective = Array.make n Rat.minus_one in
       let expected = Simplex.solve ~nvars:n ~rows ~objective () in
       match
-        Simplex.solve_b ~budget:(Budget.make ~fuel ()) ~nvars:n ~rows
-          ~objective ()
+        Guard.run (Budget.make ~fuel ()) (fun () ->
+            Simplex.solve ~nvars:n ~rows ~objective ())
       with
       | Ok (Simplex.Optimal (_, v)) -> begin
           match expected with
@@ -299,7 +300,8 @@ let prop_preorder_b_structured =
       let db = db_of_spec spec in
       let ents = Db.entities db in
       match
-        Cover_game.preorder_b ~budget:(Budget.make ~fuel ()) ~k:1 db ents
+        Guard.run (Budget.make ~fuel ()) (fun () ->
+            Cover_game.preorder ~k:1 db ents)
       with
       | Ok m -> m = Cover_game.preorder ~k:1 db ents
       | Error f -> Guard.is_resource_failure f)

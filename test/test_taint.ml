@@ -26,7 +26,6 @@ let load ~rel_dir ~lib_name ~ml =
             {
               Typed_rules.s_mod = u.u_module;
               s_file = file;
-              s_mli = u.u_mli;
               s_solver = true;
               s_impl = impl;
               s_intf = u.u_intf;
@@ -151,7 +150,7 @@ let test_nsep_lock () =
       match real_summary name with
       | None -> ()
       | Some why -> Alcotest.failf "%s became float-tainted: %s" name why)
-    [ "Nsep.decide"; "Nsep.decide_b"; "Nsep.separable"; "Nsep.is_separable" ];
+    [ "Nsep.decide"; "Nsep.separable"; "Nsep.is_separable" ];
   (* ... while the float tier underneath really is a taint source, so
      the lock is not vacuous. *)
   check bool_c "Cg.fit is float-tainted" true (real_summary "Cg.fit" <> None);
