@@ -258,16 +258,35 @@ let bench_prop41_sweep_db () =
 let bench_prop41_sweep_arity () =
   Bench_util.header
     "prop41/sweep_arity — |CQ[m]| up to isomorphism vs arity k (the \
-     2^{q(k)} factor)";
-  Bench_util.row [ (6, "m"); (8, "arity"); (20, "#feature queries") ];
+     2^{q(k)} factor), and the time of one Cq_enum.feature_queries call; \
+     the last three rows are the perfbench train schemas";
+  Bench_util.row [ (6, "m"); (10, "schema"); (20, "#feature queries"); (12, "per call") ];
   Bench_util.rule ();
+  let show schema =
+    String.concat "+" (List.map (fun (r, k) -> Printf.sprintf "%s/%d" r k) schema)
+  in
   List.iter
-    (fun (m, k) ->
-      let schema = [ ("R", k) ] in
-      let count = Cq_enum.count ~schema ~max_atoms:m () in
+    (fun (m, schema) ->
+      let count = List.length (Cq_enum.feature_queries ~schema ~max_atoms:m ()) in
+      let ns =
+        Bench_util.time_ns ~name:"prop41_arity" (fun () ->
+            ignore (Cq_enum.feature_queries ~schema ~max_atoms:m ()))
+      in
       Bench_util.row
-        [ (6, string_of_int m); (8, string_of_int k); (20, string_of_int count) ])
-    [ (1, 1); (1, 2); (1, 3); (2, 1); (2, 2); (2, 3); (3, 1); (3, 2); (3, 3) ]
+        [
+          (6, string_of_int m);
+          (10, show schema);
+          (20, string_of_int count);
+          (12, Bench_util.pp_ns ns);
+        ])
+    (List.map
+       (fun (m, k) -> (m, [ ("R", k) ]))
+       [ (1, 1); (1, 2); (1, 3); (2, 1); (2, 2); (2, 3); (3, 1); (3, 2); (3, 3) ]
+    @ [
+        (3, [ ("E", 2) ]);
+        (3, [ ("E", 2); ("R", 1) ]);
+        (2, [ ("E", 2); ("T", 3) ]);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 5.7: dimension grows with the number of entities; feature

@@ -138,174 +138,148 @@ let rename_canonically q =
   let rename v = Hashtbl.find mapping v in
   { free = rename q.free; canon = Db.map_elems rename q.canon }
 
-(* Isomorphism-canonical string: minimize the rendered sorted atom list
-   over all renamings of existential variables. Exponential in the
-   variable count; used only to deduplicate the small queries of CQ[m]
-   enumeration. *)
-let render_with q mapping =
-  let rename v = Elem.Map.find v mapping in
-  let facts =
-    List.map (Fact.map_elems rename) (Db.facts q.canon)
-  in
-  String.concat ";"
-    (List.sort String.compare (List.map Fact.to_string facts))
-
 let render_plain q =
   let q = rename_canonically q in
   String.concat ";"
     (List.sort String.compare (List.map Fact.to_string (Db.facts q.canon)))
 
-(* Color refinement on the variables of a query: colors are structural
-   values (no per-query interning) so they are comparable across
-   queries and invariant under isomorphism. A color is the explicit
-   serialization of the full refinement signature — not its
-   [Hashtbl.hash], which reads only a bounded prefix of a deep value
-   and so conflated signatures that first differ past that prefix. *)
-let refine_var_colors q ~rounds =
-  let atoms = List.sort Fact.compare (Db.facts q.canon) in
-  let add_str buf s =
-    Buffer.add_string buf (string_of_int (String.length s));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf s
-  in
-  let add_int buf i =
-    Buffer.add_string buf (string_of_int i);
-    Buffer.add_char buf ';'
-  in
-  let initial v =
-    let occ =
-      List.concat_map
-        (fun f ->
-          let args = Fact.args f in
-          List.filter_map
-            (fun i ->
-              if Elem.equal args.(i) v then
-                Some (Fact.rel f, i, Array.length args)
-              else None)
-            (List.init (Array.length args) (fun i -> i)))
-        atoms
-    in
-    let buf = Buffer.create 64 in
-    Buffer.add_char buf (if Elem.equal v q.free then 'F' else 'E');
-    List.iter
-      (fun (r, i, ar) ->
-        add_str buf r;
-        add_int buf i;
-        add_int buf ar)
-      (List.sort compare occ);
-    Buffer.contents buf
-  in
-  let color : (Elem.t, string) Hashtbl.t = Hashtbl.create 16 in
-  Elem.Set.iter
-    (fun v -> Hashtbl.replace color v (initial v))
-    (Db.domain q.canon);
-  for _round = 1 to rounds do
-    Budget.tick ~what:"cq: color refinement" ();
-    let updates =
-      Elem.Set.fold
-        (fun v acc ->
-          let sigs =
-            List.filter_map
-              (fun f ->
-                let args = Fact.args f in
-                if Array.exists (Elem.equal v) args then
-                  Some
-                    ( Fact.rel f,
-                      Array.to_list
-                        (Array.map (fun a -> Hashtbl.find color a) args),
-                      List.filter_map
-                        (fun i ->
-                          if Elem.equal args.(i) v then Some i else None)
-                        (List.init (Array.length args) (fun i -> i)) )
-                else None)
-              atoms
-          in
-          let buf = Buffer.create 128 in
-          Buffer.add_char buf 'S';
-          add_str buf (Hashtbl.find color v);
-          List.iter
-            (fun (r, arg_colors, positions) ->
-              add_str buf r;
-              Buffer.add_char buf '[';
-              List.iter (add_str buf) arg_colors;
-              Buffer.add_char buf '|';
-              List.iter (add_int buf) positions;
-              Buffer.add_char buf ']')
-            (List.sort compare sigs);
-          (v, Buffer.contents buf) :: acc)
-        (Db.domain q.canon) []
-    in
-    List.iter (fun (v, c) -> Hashtbl.replace color v c) updates
-  done;
-  color
+(* Shortlex order (length first, then elementwise) on int arrays and on
+   arrays of them. Monomorphic, so the renaming search below never goes
+   through polymorphic compare. *)
+let compare_ints (a : int array) (b : int array) =
+  let c = ref (Int.compare (Array.length a) (Array.length b)) in
+  Array.iteri (fun i x -> if !c = 0 then c := Int.compare x b.(i)) a;
+  !c
 
-(* Isomorphism-canonical string: assign the names y0.. to existential
-   variables grouped by refined color (classes ordered by color value,
-   a structural invariant), minimizing the rendered atom list only
-   over permutations within each color class. Most small queries have
-   singleton classes, so the search is near-linear; the fallback
-   deterministic renaming is used above 10 existential variables. *)
+let compare_rows (a : int array array) (b : int array array) =
+  let c = ref (Int.compare (Array.length a) (Array.length b)) in
+  Array.iteri (fun i x -> if !c = 0 then c := compare_ints x b.(i)) a;
+  !c
+
+(* Colour refinement on variables [0 .. nv - 1], [0] the free one.
+   An atom [R(a1..ak)] is the row [r; a1; ..; ak], [r] the rank of [R]
+   among the query's relation names. A variable's signature is its
+   colour followed by the sorted rows [r; m; c(a1)..c(ak)] of the atoms
+   it occurs in, [m] the bitmask of its positions there. Each round
+   replaces every colour by the rank of its signature among the
+   query's distinct signatures: the ranks are invariant under renaming
+   with no table shared between queries. Rounds stop when the number of
+   colours stops growing; the partition is then stable, as a signature
+   starts with the previous colour. *)
+let refine_colours ~nv atoms =
+  let colour = Array.init nv (fun v -> min v 1) in
+  let occ = Array.make nv [] in
+  Array.iter
+    (fun a ->
+      let mask = Array.make nv 0 in
+      Array.iteri
+        (fun i x -> if i > 0 then mask.(x) <- mask.(x) lor (1 lsl (i - 1)))
+        a;
+      Array.iteri (fun v m -> if m <> 0 then occ.(v) <- (a, m) :: occ.(v)) mask)
+    atoms;
+  let row (a, m) =
+    Array.init
+      (Array.length a + 1)
+      (fun i -> if i = 0 then a.(0) else if i = 1 then m else colour.(a.(i - 1)))
+  in
+  let signature v =
+    Array.of_list ([| colour.(v) |] :: List.sort compare_ints (List.map row occ.(v)))
+  in
+  let count = ref (min nv 2) and stable = ref false in
+  while not !stable do
+    Budget.tick ~what:"cq: color refinement" ();
+    let sigs = Array.init nv (fun v -> (signature v, v)) in
+    Array.sort (fun (s1, _) (s2, _) -> compare_rows s1 s2) sigs;
+    let rank = ref 0 in
+    Array.iteri
+      (fun i (s, v) ->
+        if i > 0 && compare_rows (fst sigs.(i - 1)) s <> 0 then incr rank;
+        colour.(v) <- !rank)
+      sigs;
+    stable := !rank + 1 = !count;
+    count := !rank + 1
+  done;
+  colour
+
+(* The existential variables are labelled 1..n grouped by refined colour,
+   classes in colour order (an invariant). The labelling minimizes the
+   sorted row list over the permutations within each class, and only the
+   winner is rendered. Most small queries have singleton classes, so the
+   search is near-linear. *)
+let iso_canonical_rows ~rels ~nvars:nv atoms =
+  if nv > 11 then None
+  else begin
+    let colour = refine_colours ~nv atoms in
+    let classes = Array.make nv [] in
+    List.iter
+      (fun v -> classes.(colour.(v)) <- v :: classes.(colour.(v)))
+      (List.init (nv - 1) (fun i -> nv - 1 - i));
+    let label = Array.make nv 0 and best = ref None in
+    let consider () =
+      let rows =
+        Array.map (Array.mapi (fun i x -> if i = 0 then x else label.(x))) atoms
+      in
+      Array.sort compare_ints rows;
+      match !best with
+      | Some b when compare_rows b rows <= 0 -> ()
+      | _ -> best := Some rows
+    in
+    let rec assign offset = function
+      | [] -> consider ()
+      | [] :: rest -> assign offset rest
+      | members :: rest ->
+          let members = Array.of_list members in
+          let size = Array.length members in
+          let used = Array.make size false in
+          let rec place i =
+            Budget.tick ~what:"cq: canonical renaming search" ();
+            if i = size then assign (offset + size) rest
+            else
+              for j = 0 to size - 1 do
+                if not used.(j) then begin
+                  used.(j) <- true;
+                  label.(members.(i)) <- offset + j;
+                  place (i + 1);
+                  used.(j) <- false
+                end
+              done
+          in
+          place 0
+    in
+    assign 1 (Array.to_list classes);
+    (* rendered as [to_string] renders atoms: variables x, y0, y1, ... *)
+    let name l = if l = 0 then Elem.to_string default_free else "y" ^ string_of_int (l - 1) in
+    let atom a =
+      rels.(a.(0)) ^ "("
+      ^ String.concat ", " (List.map name (List.tl (Array.to_list a)))
+      ^ ")"
+    in
+    Some (String.concat ";" (Array.to_list (Array.map atom (Option.get !best))))
+  end
+
+(* Above 10 existential variables the deterministic (not
+   isomorphism-invariant) renaming of [render_plain] is used. *)
 let iso_canonical_string q =
   let ex = Elem.Set.elements (existential_vars q) in
-  let n = List.length ex in
-  if n > 10 then render_plain q
-  else begin
-    let color = refine_var_colors q ~rounds:2 in
-    let classes =
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun v ->
-          let c = Hashtbl.find color v in
-          let existing =
-            match Hashtbl.find_opt tbl c with Some l -> l | None -> []
-          in
-          Hashtbl.replace tbl c (v :: existing))
-        ex;
-      List.sort
-        (fun (c1, _) (c2, _) -> compare c1 c2)
-        (* cqlint: allow R6 — fold output is immediately sorted by the unique class key *)
-        (Hashtbl.fold (fun c vs acc -> (c, List.rev vs) :: acc) tbl [])
-    in
-    (* Name blocks: class i gets names y_offset.. in some within-class
-       permutation. *)
-    let best = ref None in
-    let rec assign_classes classes offset mapping =
-      match classes with
-      | [] ->
-          let full = Elem.Map.add q.free default_free mapping in
-          let s = render_with q full in
-          (match !best with
-          | Some b when String.compare b s <= 0 -> ()
-          | _ -> best := Some s)
-      | (_, members) :: rest ->
-          let size = List.length members in
-          let names =
-            List.init size (fun i ->
-                Elem.sym (Printf.sprintf "y%d" (offset + i)))
-          in
-          let rec perms chosen remaining_names remaining_members k =
-            Budget.tick ~what:"cq: canonical renaming search" ();
-            match remaining_members with
-            | [] -> k chosen
-            | v :: more ->
-                List.iter
-                  (fun name ->
-                    perms
-                      (Elem.Map.add v name chosen)
-                      (List.filter
-                         (fun n' -> not (Elem.equal n' name))
-                         remaining_names)
-                      more k)
-                  remaining_names
-          in
-          perms mapping names members (fun m ->
-              assign_classes rest (offset + size) m)
-    in
-    assign_classes classes 0 Elem.Map.empty;
-    match !best with
-    | Some s -> s
-    | None -> render_with q (Elem.Map.add q.free default_free Elem.Map.empty)
-  end
+  let index =
+    List.fold_left
+      (fun (m, i) v -> (Elem.Map.add v i m, i + 1))
+      (Elem.Map.empty, 0) (q.free :: ex)
+    |> fst
+  in
+  let facts = Db.facts q.canon in
+  let rels = List.sort_uniq String.compare (List.map Fact.rel facts) in
+  let rel_ids = List.mapi (fun i r -> (r, i)) rels in
+  let row f =
+    Array.append [| List.assoc (Fact.rel f) rel_ids |]
+      (Array.map (fun v -> Elem.Map.find v index) (Fact.args f))
+  in
+  match
+    iso_canonical_rows ~rels:(Array.of_list rels) ~nvars:(List.length ex + 1)
+      (Array.of_list (List.map row facts))
+  with
+  | Some key -> key
+  | None -> render_plain q
 
 let equal q1 q2 = Elem.equal q1.free q2.free && Db.equal q1.canon q2.canon
 

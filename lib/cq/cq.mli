@@ -88,12 +88,24 @@ val core : t -> t
     deterministic traversal order (useful for display and hashing). *)
 val rename_canonically : t -> t
 
-(** [iso_canonical_string q] is a string invariant under variable
-    renaming: two queries get the same string iff they are isomorphic
-    (equal up to renaming). Computed by minimizing over renamings
-    guided by a greedy ordering; intended for deduplication of small
-    queries. *)
+(** [iso_canonical_string q] is a deduplication key. With at most 10
+    existential variables it is canonical: two such queries get the same
+    string iff they are isomorphic (equal up to renaming variables, the
+    free variable onto the free variable). Computed by colour refinement
+    on the variables, then a search over the permutations within each
+    colour class only. Above 10 existential variables it is the rendering
+    after {!rename_canonically}: equal strings still mean isomorphic
+    queries, but isomorphic queries may get different strings. *)
 val iso_canonical_string : t -> string
+
+(** [iso_canonical_rows ~rels ~nvars rows] is [Some (iso_canonical_string q)]
+    without building [q], or [None] when [q] has more than 10 existential
+    variables. [q] has one atom per row: [[|r; v1; ..; vk|]] is
+    [rels.(r)(v1, .., vk)] over the variables [0 .. nvars - 1], [0] the
+    free one. Every variable occurs, [eta(0)] is a row, and [rels] is
+    sorted by [String.compare]. *)
+val iso_canonical_rows :
+  rels:string array -> nvars:int -> int array array -> string option
 
 val equal : t -> t -> bool
 

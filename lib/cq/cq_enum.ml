@@ -8,89 +8,107 @@
 let schema_of_db db =
   List.filter (fun (rel, _) -> rel <> Db.entity_rel) (Db.relations db)
 
-let fresh_var i = Elem.sym (Printf.sprintf "y%d" i)
-
+(* Variables are ints during generation: [0] is the free variable and
+   [i + 1] is y_i. Since the i-th fresh variable is always y_i, the
+   variables in scope are exactly [0 .. nvars - 1]. [schema] holds
+   (relation id, arity) pairs; an atom is the row [id; a1; ..; ak] and
+   an emission is the atom list so far with its [nvars]. *)
 let generate ?max_var_occ ~schema ~max_atoms ~emit () =
+  let max_ar = Array.fold_left (fun acc (_, ar) -> max acc ar) 0 schema in
+  let occ = Array.make ((max_atoms * max_ar) + 1) 0 in
+  (* Count the occurrences of [vs]; with [max_var_occ = p], run [k] only
+     if no variable then occurs more than [p] times. *)
+  let with_occ vs k =
+    match max_var_occ with
+    | None -> k ()
+    | Some p ->
+        List.iter (fun v -> occ.(v) <- occ.(v) + 1) vs;
+        if List.for_all (fun v -> occ.(v) <= p) vs then k ();
+        List.iter (fun v -> occ.(v) <- occ.(v) - 1) vs
+  in
+  (* Enumerate argument tuples for one atom of arity [ar]: each
+     position is an existing variable or the next fresh one. *)
+  let rec tuples ar nvars acc k =
+    Budget.tick ~what:"CQ[m] feature enumeration" ();
+    if ar = 0 then k (List.rev acc) nvars
+    else begin
+      List.iter
+        (fun v -> tuples (ar - 1) nvars (v :: acc) k)
+        (List.init nvars Fun.id);
+      tuples (ar - 1) (nvars + 1) (nvars :: acc) k
+    end
+  in
+  let rec go atoms count nvars min_rel =
+    Budget.tick ~what:"CQ[m] feature enumeration" ();
+    Budget.check_depth ~what:"CQ[m] atom count" count;
+    emit (List.rev atoms) nvars;
+    if count < max_atoms then
+      for r = min_rel to Array.length schema - 1 do
+        let id, ar = schema.(r) in
+        tuples ar nvars [] (fun vs nvars' ->
+            with_occ vs (fun () ->
+                go (Array.of_list (id :: vs) :: atoms) (count + 1) nvars' r))
+      done
+  in
+  go [] 0 1 0
+
+(* An atom set (sorted distinct rows) as a string key: each row's
+   length, then its ints, every int written out in eight bytes. *)
+let literal_key atoms =
+  let buf = Buffer.create 64 in
+  let add v = Buffer.add_int64_le buf (Int64.of_int v) in
+  List.iter (fun a -> add (Array.length a); Array.iter add a) atoms;
+  Buffer.contents buf
+
+(* Calls [f] on the first emission of every isomorphism class, in
+   generation order. An emission whose literal atom set was already
+   seen is the same query as an earlier one and skips the canonical
+   key; a [Cq.t] is built only for a kept emission, or for the key of
+   one with more than 10 existential variables. *)
+let iter_distinct ?max_var_occ ~schema ~max_atoms f =
   let schema =
     List.sort (fun (a, _) (b, _) -> String.compare a b)
       (List.filter (fun (rel, _) -> rel <> Db.entity_rel) schema)
   in
-  let schema = Array.of_list schema in
-  let occ_ok occ =
-    match max_var_occ with
-    | None -> true
-    | Some p -> Elem.Map.for_all (fun _ c -> c <= p) occ
+  (* Atoms name relations by index in [rels]: every name, [eta]
+     included, sorted as [Cq.iso_canonical_rows] requires. *)
+  let rels = List.sort_uniq String.compare (Db.entity_rel :: List.map fst schema) in
+  let id rel = List.assoc rel (List.mapi (fun i r -> (r, i)) rels) in
+  let rels = Array.of_list rels in
+  let eta = [| id Db.entity_rel; 0 |] in
+  let var v = if v = 0 then Cq.default_free else Elem.sym ("y" ^ string_of_int (v - 1)) in
+  let build atoms =
+    Cq.make ~free:Cq.default_free
+      (List.map
+         (fun a -> Fact.make rels.(a.(0)) (Array.map var (Array.sub a 1 (Array.length a - 1))))
+         atoms)
   in
-  (* Enumerate argument tuples for one atom of arity [ar]: each
-     position is an existing variable or the next fresh one. *)
-  let rec tuples ar next_fresh existing acc k =
-    Budget.tick ~what:"CQ[m] feature enumeration" ();
-    if ar = 0 then k (List.rev acc) next_fresh
-    else begin
-      List.iter
-        (fun v -> tuples (ar - 1) next_fresh existing (v :: acc) k)
-        existing;
-      let v = fresh_var next_fresh in
-      tuples (ar - 1) (next_fresh + 1) (existing @ [ v ]) (v :: acc) k
+  (* [fresh tbl k] adds [k] to [tbl] and tells whether it was new. *)
+  let fresh tbl k = (not (Hashtbl.mem tbl k)) && (Hashtbl.add tbl k (); true) in
+  let literal = Hashtbl.create 1024 and iso = Hashtbl.create 1024 in
+  let emit atoms nvars =
+    let atoms = List.sort_uniq compare atoms in
+    if fresh literal (literal_key atoms) then begin
+      let key =
+        match Cq.iso_canonical_rows ~rels ~nvars (Array.of_list (eta :: atoms)) with
+        | Some key -> key
+        | None -> Cq.iso_canonical_string (build atoms)
+      in
+      if fresh iso key then f (build atoms)
     end
   in
-  let bump occ vs =
-    List.fold_left
-      (fun occ v ->
-        let c = match Elem.Map.find_opt v occ with Some c -> c | None -> 0 in
-        Elem.Map.add v (c + 1) occ)
-      occ vs
-  in
-  let rec go atoms count next_fresh existing occ min_rel =
-    Budget.tick ~what:"CQ[m] feature enumeration" ();
-    Budget.check_depth ~what:"CQ[m] atom count" count;
-    emit (List.rev atoms);
-    if count < max_atoms then
-      for r = min_rel to Array.length schema - 1 do
-        let rel, ar = schema.(r) in
-        tuples ar next_fresh existing [] (fun vs next_fresh' ->
-            let occ' = bump occ vs in
-            if occ_ok occ' then begin
-              let existing' =
-                List.fold_left
-                  (fun ex v ->
-                    if List.exists (Elem.equal v) ex then ex else ex @ [ v ])
-                  existing vs
-              in
-              go
-                (Fact.make_l rel vs :: atoms)
-                (count + 1) next_fresh' existing' occ' r
-            end)
-      done
-  in
-  go [] 0 0 [ Cq.default_free ] Elem.Map.empty 0
+  generate ?max_var_occ
+    ~schema:(Array.of_list (List.map (fun (rel, ar) -> (id rel, ar)) schema))
+    ~max_atoms ~emit ()
 
 let feature_queries ?max_var_occ ~schema ~max_atoms () =
-  let seen = Hashtbl.create 1024 in
   let out = ref [] in
-  let emit atoms =
-    let q = Cq.make ~free:Cq.default_free atoms in
-    let key = Cq.iso_canonical_string q in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      out := q :: !out
-    end
-  in
-  generate ?max_var_occ ~schema ~max_atoms ~emit ();
+  iter_distinct ?max_var_occ ~schema ~max_atoms (fun q -> out := q :: !out);
   List.rev !out
 
 let count ?max_var_occ ~schema ~max_atoms () =
-  let seen = Hashtbl.create 1024 in
   let n = ref 0 in
-  let emit atoms =
-    let q = Cq.make ~free:Cq.default_free atoms in
-    let key = Cq.iso_canonical_string q in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      incr n
-    end
-  in
-  generate ?max_var_occ ~schema ~max_atoms ~emit ();
+  iter_distinct ?max_var_occ ~schema ~max_atoms (fun _ -> incr n);
   !n
 
 let dedupe_equivalent qs =

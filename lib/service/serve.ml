@@ -20,7 +20,7 @@
       retry-after; cold evals pay one token each, so sustained
       overload degrades to cache-only service instead of collapsing
    5. otherwise evaluate the cold entities under the configured
-      budget and cache the verdicts.
+      budget, once per distinct key, and cache the verdicts.
 
    Cache keys are canonical neighborhood serializations when the
    model's features are all connected ([Neighborhood.model_radius]);
@@ -241,13 +241,25 @@ let classify t ~db_key ~db entities =
             in
             let stat = snap.s_model.Model_io.statistic in
             let cls = snap.s_model.Model_io.classifier in
+            (* Entities sharing a key share the verdict (that is what
+               the cache relies on), so each distinct cold key is
+               evaluated once, on its first entity. *)
+            let distinct =
+              let seen = Hashtbl.create 16 in
+              List.filter
+                (fun (_, k) ->
+                  if Hashtbl.mem seen k then false
+                  else begin
+                    Hashtbl.add seen k ();
+                    true
+                  end)
+                cold
+            in
             match
               Guard.run budget (fun () ->
                   List.map
-                    (fun (e, k) ->
-                      let vec = Statistic.vector stat db e in
-                      (e, k, Linsep.classify cls vec))
-                    cold)
+                    (fun (e, k) -> (k, Linsep.classify cls (Statistic.vector stat db e)))
+                    distinct)
             with
             | Error f ->
                 t.eval_failures <- t.eval_failures + 1;
@@ -258,24 +270,19 @@ let classify t ~db_key ~db entities =
             | Ok cold_results ->
                 Breaker.success t.breaker;
                 t.cold_evals <- t.cold_evals + List.length cold_results;
+                let by_key = Hashtbl.create 16 in
                 List.iter
-                  (fun (_, k, lab) ->
+                  (fun (k, lab) ->
+                    Hashtbl.replace by_key k lab;
                     Eval_cache.add t.cache ~version:snap.s_version k lab)
                   cold_results;
-                let verdicts =
-                  List.map
-                    (fun (e, k, hit) ->
-                      match hit with
-                      | Some lab -> (e, lab)
-                      | None ->
-                          let _, _, lab =
-                            List.find (fun (e', k', _) -> e' = e && k' = k)
-                              cold_results
-                          in
-                          (e, lab))
-                    lookups
-                in
-                serve verdicts
+                serve
+                  (List.map
+                     (fun (e, k, hit) ->
+                       match hit with
+                       | Some lab -> (e, lab)
+                       | None -> (e, Hashtbl.find by_key k))
+                     lookups)
           end
         end
       end

@@ -47,7 +47,7 @@ type served = {
   sv_version : int;
   sv_results : (Elem.t * Labeling.label) list;  (** input order *)
   sv_hits : int;
-  sv_cold : int;
+  sv_cold : int;  (** cache-missing entities, each charged one token *)
 }
 
 type outcome =
@@ -58,7 +58,8 @@ type outcome =
 (** [classify t ~db_key ~db entities] — the ladder: no model →
     [Shed Invalid]; all hits → [Served] unconditionally; token bucket
     short → [Shed Overloaded]; breaker open → [Shed Breaker_open];
-    else evaluate cold entities under the configured budget. [db_key]
+    else evaluate cold entities under the configured budget, once per
+    distinct cache key (entities sharing a key share its verdict). [db_key]
     is an identity for [db] (e.g. a file fingerprint), used in cache
     keys when neighborhood keys are unavailable. *)
 val classify :
@@ -74,7 +75,7 @@ type stats = {
   st_served_batches : int;
   st_served_entities : int;
   st_cache : Eval_cache.stats;
-  st_cold_evals : int;
+  st_cold_evals : int;  (** evaluations run: one per distinct cold key *)
   st_shed_overload : int;
   st_shed_breaker : int;
   st_eval_failures : int;

@@ -157,6 +157,149 @@ let test_iso_canonical () =
   Alcotest.(check bool) "distinct" true
     (Cq.iso_canonical_string a <> Cq.iso_canonical_string c)
 
+(* Above 10 existential variables the key falls back to the plain
+   deterministic rendering, which is not isomorphism-invariant: the two
+   11-leaf stars below differ only in which leaf carries U. *)
+let test_iso_fallback () =
+  let star n u =
+    q
+      ("x :- "
+      ^ String.concat ", "
+          (List.init n (fun i -> Printf.sprintf "E(x,a%02d)" i)
+          @ [ Printf.sprintf "U(a%02d)" u ]))
+  in
+  let key = Cq.iso_canonical_string in
+  check string_c "11 existentials: plain rendering"
+    ("E(x, y0);E(x, y1);E(x, y10);E(x, y2);E(x, y3);E(x, y4);E(x, y5);"
+   ^ "E(x, y6);E(x, y7);E(x, y8);E(x, y9);U(y3);eta(x)")
+    (key (star 11 3));
+  check bool_c "11 existentials: not invariant" true
+    (key (star 11 3) <> key (star 11 7));
+  check string_c "10 existentials: invariant" (key (star 10 3)) (key (star 10 7))
+
+(* Random queries of at most 3 atoms over E/2, U/1 and T/3. A spec atom
+   is a relation index and argument variables, 0 the free variable and
+   1..4 existential. *)
+let key_rels = [| ("E", 2); ("U", 1); ("T", 3) |]
+
+let qspec_gen =
+  let open QCheck.Gen in
+  list_size (int_range 0 3)
+    ( int_range 0 (Array.length key_rels - 1) >>= fun r ->
+      list_size (return (snd key_rels.(r))) (int_range 0 4) >>= fun args ->
+      return (r, args) )
+
+let qspec_print spec =
+  String.concat "; "
+    (List.map
+       (fun (r, args) ->
+         Printf.sprintf "%s(%s)" (fst key_rels.(r))
+           (String.concat "," (List.map string_of_int args)))
+       spec)
+
+let query_of_spec ?(var = fun i -> if i = 0 then "x" else "v" ^ string_of_int i)
+    spec =
+  Cq.make ~free:(sym (var 0))
+    (List.map
+       (fun (r, args) ->
+         Fact.make_l (fst key_rels.(r)) (List.map (fun i -> sym (var i)) args))
+       spec)
+
+(* The same query with its atoms reordered and its variables renamed
+   along a permutation, the free variable included, into names that
+   sort differently. *)
+let renamed_gen spec =
+  let open QCheck.Gen in
+  shuffle_l [ 1; 2; 3; 4 ] >>= fun perm ->
+  shuffle_l spec >>= fun atoms ->
+  let var i = if i = 0 then "f" else "w" ^ string_of_int (List.nth perm (i - 1)) in
+  return (query_of_spec ~var atoms)
+
+(* Brute-force oracle: the least rendering over every bijection of the
+   existential variables onto y0..y(n-1). Exact by construction. *)
+let oracle_key qq =
+  let free = Cq.free qq in
+  let ex = Elem.Set.elements (Cq.existential_vars qq) in
+  let facts = Db.facts (Cq.canonical qq) in
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun v -> List.map (fun p -> v :: p) (perms (List.filter (( <> ) v) l)))
+          l
+  in
+  let render names =
+    let name v =
+      if Elem.equal v free then "x"
+      else snd (List.find (fun (u, _) -> Elem.equal u v) names)
+    in
+    String.concat ";"
+      (List.sort String.compare
+         (List.map
+            (fun f ->
+              Fact.rel f ^ "("
+              ^ String.concat "," (List.map name (Array.to_list (Fact.args f)))
+              ^ ")")
+            facts))
+  in
+  List.fold_left
+    (fun best labels ->
+      let s = render (List.combine ex labels) in
+      match best with Some b when String.compare b s <= 0 -> best | _ -> Some s)
+    None
+    (perms (List.init (List.length ex) (fun i -> "y" ^ string_of_int i)))
+  |> Option.get
+
+let key_rand = Random.State.make [| 20190705 |]
+
+let prop_iso_key_invariant =
+  QCheck.Test.make ~name:"iso key invariant under renaming and reordering"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (spec, _) -> qspec_print spec)
+       QCheck.Gen.(qspec_gen >>= fun spec -> pair (return spec) (renamed_gen spec)))
+    (fun (spec, renamed) ->
+      Cq.iso_canonical_string (query_of_spec spec)
+      = Cq.iso_canonical_string renamed)
+
+(* Pairs that are isomorphic about half the time: a renamed copy, a
+   renamed copy with one argument changed, or an independent query. *)
+let prop_iso_key_exact =
+  let pair_gen =
+    let open QCheck.Gen in
+    qspec_gen >>= fun spec ->
+    let mutated =
+      match spec with
+      | [] -> return spec
+      | _ ->
+          int_range 0 (List.length spec - 1) >>= fun i ->
+          int_range 0 4 >>= fun v ->
+          return
+            (List.mapi
+               (fun j (r, args) ->
+                 if j = i then (r, List.mapi (fun k a -> if k = 0 then v else a) args)
+                 else (r, args))
+               spec)
+    in
+    pair (return spec)
+      (oneof
+         [
+           renamed_gen spec;
+           (mutated >>= renamed_gen);
+           map query_of_spec qspec_gen;
+         ])
+  in
+  QCheck.Test.make ~name:"iso keys equal iff the brute-force oracle agrees"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (spec, other) ->
+         qspec_print spec ^ " vs " ^ Cq.to_string other)
+       pair_gen)
+    (fun (spec, other) ->
+      let qq = query_of_spec spec in
+      Cq.iso_canonical_string qq = Cq.iso_canonical_string other
+      = (oracle_key qq = oracle_key other))
+
 (* --- enumeration ------------------------------------------------------ *)
 
 let test_enum_counts_unary () =
@@ -198,6 +341,28 @@ let prop_enum_within_bounds =
       List.for_all
         (fun c -> Cq.num_atoms c <= m && Cq.max_var_occurrences c <= p)
         qs)
+
+(* Enumeration output pinned byte for byte: the count and the md5 of the
+   rendered feature list on four schemas. *)
+let test_enum_golden () =
+  List.iter
+    (fun (name, max_var_occ, schema, m, n, digest) ->
+      let qs = Cq_enum.feature_queries ?max_var_occ ~schema ~max_atoms:m () in
+      check int_c (name ^ " count") n (List.length qs);
+      check int_c (name ^ " Cq_enum.count") n
+        (Cq_enum.count ?max_var_occ ~schema ~max_atoms:m ());
+      check string_c (name ^ " digest") digest
+        (Digest.to_hex
+           (Digest.string (String.concat "\n" (List.map Cq.to_string qs)))))
+    [
+      ("E/2 m=3", None, [ ("E", 2) ], 3, 180, "9276d85d411a54c367fb4414fedcb257");
+      ( "E/2+R/1 m=3", None, [ ("E", 2); ("R", 1) ], 3, 324,
+        "e5d3164d1dd35fd6c9ca27c90311be3a" );
+      ( "E/2+T/3 m=2", None, [ ("E", 2); ("T", 3) ], 2, 704,
+        "a6fa53dc7a305d1bfda772490a10ee95" );
+      ( "E/2+U/1 m=3 p=2", Some 2, [ ("E", 2); ("U", 1) ], 3, 201,
+        "436f290876de1e0ba75688346f2ffccf" );
+    ]
 
 let test_dedupe_equivalent () =
   let qs = [ q "x :- E(x,y)"; q "x :- E(x,u)"; q "x :- E(x,y), E(x,z)" ] in
@@ -372,6 +537,10 @@ let () =
           Alcotest.test_case "parse roundtrip" `Quick test_parse_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "iso canonical" `Quick test_iso_canonical;
+          Alcotest.test_case "iso fallback above 10 variables" `Quick
+            test_iso_fallback;
+          QCheck_alcotest.to_alcotest ~rand:key_rand prop_iso_key_invariant;
+          QCheck_alcotest.to_alcotest ~rand:key_rand prop_iso_key_exact;
         ] );
       ( "enumeration",
         [
@@ -380,6 +549,7 @@ let () =
           Alcotest.test_case "var occurrences" `Quick test_enum_var_occurrence_restriction;
           Alcotest.test_case "disconnected atoms" `Quick test_enum_contains_disconnected;
           Alcotest.test_case "dedupe equivalent" `Quick test_dedupe_equivalent;
+          Alcotest.test_case "golden feature lists" `Quick test_enum_golden;
           qcheck prop_enum_within_bounds;
         ] );
       ( "decomposition",

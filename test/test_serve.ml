@@ -322,6 +322,38 @@ let test_serve_version_flip () =
   check string_c "v1 verdicts again" "+-+" (signs r3);
   rm_rf dir
 
+(* Three disjoint copies of the motif R(a), E(a,b): every a_i shares
+   one neighborhood key and every b_i another, so a cold batch of all
+   six entities runs two evaluations and fans each verdict out. *)
+let test_serve_repeated_keys () =
+  let dir = tmp_dir "repeat" in
+  rm_rf dir;
+  let a i = sym (Printf.sprintf "a%d" i) and b i = sym (Printf.sprintf "b%d" i) in
+  let copies = [ 1; 2; 3 ] in
+  let db =
+    List.fold_left
+      (fun db i ->
+        Db.add_entity (a i)
+          (Db.add_entity (b i)
+             (Db.add (Fact.make_l "R" [ a i ])
+                (Db.add (Fact.make_l "E" [ a i; b i ]) db))))
+      Db.empty copies
+  in
+  let batch = List.concat_map (fun i -> [ a i; b i ]) copies in
+  let sv = Serve.create ~config:serve_cfg (Model_store.open_ ~dir) in
+  ignore (Serve.publish sv m_pos);
+  let r = classify_ok sv ~db_key:"motifs" ~db batch in
+  check int_c "every entity is cold" 6 r.Serve.sv_cold;
+  check int_c "one evaluation per distinct key" 2
+    (Serve.stats sv).Serve.st_cold_evals;
+  let expected = Model_io.apply m_pos db in
+  check bool_c "verdicts equal Model_io.apply" true
+    (List.for_all
+       (fun (e, lab) -> lab = Labeling.get e expected)
+       r.Serve.sv_results);
+  check string_c "verdicts" "+-+-+-" (signs r);
+  rm_rf dir
+
 let test_serve_forked_worker_reset () =
   let dir = tmp_dir "fork" in
   rm_rf dir;
@@ -866,6 +898,8 @@ let () =
             test_serve_warm_identity;
           Alcotest.test_case "version flip invalidates" `Quick
             test_serve_version_flip;
+          Alcotest.test_case "repeated keys evaluated once" `Quick
+            test_serve_repeated_keys;
           Alcotest.test_case "forked worker reset" `Quick
             test_serve_forked_worker_reset;
           Alcotest.test_case "overload ladder" `Quick
